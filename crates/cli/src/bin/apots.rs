@@ -1,4 +1,4 @@
-//! `apots` binary: short alias for `apots-cli` (same code, second name).
+//! `apots` binary: thin wrapper over [`apots_cli::cli_main`].
 
 fn main() -> std::process::ExitCode {
     apots_cli::cli_main()

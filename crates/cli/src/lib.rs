@@ -1,10 +1,10 @@
-//! `apots-cli` — command-line interface for the APOTS reproduction.
+//! `apots` — command-line interface for the APOTS reproduction.
 //!
 //! ```text
-//! apots-cli simulate --days 28 --seed 7 --out corridor.json
-//! apots-cli train    --kind H --adversarial --epochs 6 --out model.json
-//! apots-cli eval     --model model.json
-//! apots-cli predict  --model model.json --from 06:30 --to 08:30 --day 5
+//! apots simulate --days 28 --seed 7 --out corridor.json
+//! apots train    --kind H --adversarial --epochs 6 --out model.json
+//! apots eval     --model model.json
+//! apots predict  --model model.json --from 06:30 --to 08:30 --day 5
 //! ```
 //!
 //! All subcommands regenerate the (deterministic) simulated corridor from
@@ -33,9 +33,7 @@ mod bench_gate;
 
 use args::Args;
 
-/// Entry point shared by the `apots-cli` and `apots` binaries (the
-/// latter is a short alias so the documented `apots metrics-summary`
-/// invocation works).
+/// Entry point of the `apots` binary.
 pub fn cli_main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match run(&argv) {
@@ -50,7 +48,7 @@ pub fn cli_main() -> ExitCode {
 }
 
 fn usage() -> &'static str {
-    "usage: apots-cli <command> [options]\n\
+    "usage: apots <command> [options]\n\
      \n\
      commands:\n\
      \x20 simulate   generate a corridor and print summary statistics\n\

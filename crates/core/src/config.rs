@@ -163,7 +163,7 @@ pub struct TrainConfig {
     /// RDAT defense mode (`None` disables; composes with both plain and
     /// adversarial training).
     pub rdat: Option<RdatConfig>,
-    /// RNG seed for shuffling and dropout.
+    /// RNG seed for epoch shuffling; also seeds the discriminator's init.
     pub seed: u64,
 }
 

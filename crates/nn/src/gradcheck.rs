@@ -43,9 +43,8 @@ fn probe_indices(len: usize, cap: usize) -> Vec<usize> {
 }
 
 /// Checks `layer`'s analytic gradients at `input` against central finite
-/// differences with step `eps`. The layer is run with `train = false`-style
-/// determinism expected: it must produce identical outputs for identical
-/// inputs (don't gradcheck dropout in train mode).
+/// differences with step `eps`. The layer must be deterministic: identical
+/// inputs produce identical outputs.
 pub fn check_layer(layer: &mut dyn Layer, input: &Tensor, seed: u64, eps: f32) -> GradCheckResult {
     let mut rng = seeded(seed);
     let base_out = layer.forward(input, true);

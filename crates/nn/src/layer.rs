@@ -22,8 +22,8 @@ pub struct Param<'a> {
 pub trait Layer {
     /// Computes the layer output for `input`.
     ///
-    /// `train` selects training-time behaviour (e.g. dropout masking);
-    /// inference passes `false`.
+    /// `train` selects training-time behaviour (e.g. `Conv2d` caching its
+    /// im2col columns for `backward`); inference passes `false`.
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
 
     /// Propagates `grad_out` (∂loss/∂output) backwards, storing parameter

@@ -8,8 +8,7 @@
 //! * [`Conv2d`] same-padding 2-D convolutions (im2col based);
 //! * [`Lstm`] long short-term memory layers with full backpropagation
 //!   through time;
-//! * [`activation`] layers (ReLU, leaky ReLU, sigmoid, tanh) and
-//!   [`Dropout`];
+//! * [`activation`] layers (ReLU, leaky ReLU, sigmoid, tanh);
 //! * [`Sequential`] containers;
 //! * numerically-stable [`loss`] functions (MSE, BCE-with-logits — the GAN
 //!   losses of Eq 1/2 in the paper);
@@ -24,12 +23,9 @@
 //! is derived and written by hand, then verified by gradient checking.
 
 pub mod activation;
-pub mod attention;
 pub mod conv;
 pub mod dense;
-pub mod dropout;
 pub mod gradcheck;
-pub mod gru;
 pub mod init;
 pub mod layer;
 pub mod loss;
@@ -40,11 +36,8 @@ pub mod sequential;
 pub mod state;
 
 pub use activation::{LeakyRelu, Relu, Sigmoid, Tanh};
-pub use attention::TemporalAttention;
 pub use conv::Conv2d;
 pub use dense::Dense;
-pub use dropout::Dropout;
-pub use gru::Gru;
 pub use layer::{Layer, Param};
 pub use lstm::Lstm;
 pub use optim::{clip_global_norm, Adam, AdamState, Optimizer, Sgd};

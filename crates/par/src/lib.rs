@@ -232,11 +232,6 @@ impl Pool {
         apots_obs::metrics::GAUGE_PAR_WORKERS.raise(*count as u64);
     }
 
-    /// Number of persistent workers currently alive (for diagnostics).
-    pub fn worker_count(&self) -> usize {
-        *self.workers.lock().unwrap()
-    }
-
     /// Runs `task(i)` for every `i in 0..n_tasks`, cooperatively across
     /// the pool and the calling thread. Blocks until all tasks finished;
     /// re-raises the first task panic on the caller.

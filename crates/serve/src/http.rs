@@ -71,10 +71,11 @@ impl<'a> Request<'a> {
 /// Returns `Ok(None)` on clean EOF before any byte (the client closed a
 /// keep-alive connection), `Ok(Some(len))` with the head length once the
 /// terminator arrives, and an error on I/O failure, oversized heads, or
-/// EOF mid-request. The caller owns clearing `buf` between requests —
-/// on a read timeout (`WouldBlock`/`TimedOut`) any partial bytes stay in
-/// `buf`, so the caller can poll a shutdown flag and resume the same
-/// request.
+/// EOF mid-request. The caller owns removing a served head from the
+/// front of `buf`; any bytes past it are the start of the next pipelined
+/// request and must stay. On a read timeout (`WouldBlock`/`TimedOut`)
+/// any partial bytes stay in `buf`, so the caller can poll a shutdown
+/// flag and resume the same request.
 pub fn read_head(stream: &mut TcpStream, buf: &mut Vec<u8>) -> io::Result<Option<usize>> {
     const MAX_HEAD: usize = 8 * 1024;
     let mut chunk = [0u8; 1024];

@@ -368,8 +368,8 @@ fn worker_loop(s: &Shared) {
     while let Some(mut stream) = next_conn(s) {
         let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
         let _ = stream.set_nodelay(true);
+        head.clear();
         'conn: loop {
-            head.clear();
             let head_len = loop {
                 match read_head(&mut stream, &mut head) {
                     Ok(Some(n)) => break n,
@@ -396,6 +396,8 @@ fn worker_loop(s: &Shared) {
             if !ok {
                 break 'conn;
             }
+            // Bytes past the head belong to the next pipelined request.
+            head.drain(..head_len);
         }
     }
 }

@@ -134,7 +134,7 @@ impl SnapshotCell {
 ///
 /// Two payload shapes are accepted:
 /// * a bare model checkpoint `{"kind": .., "state": ..}` (what
-///   `apots-cli train --out` writes and the serve tests save), and
+///   `apots train --out` writes and the serve tests save), and
 /// * a full training checkpoint `{"kind": .., "predictor": .., ..}`
 ///   (what the trainer's `--checkpoint-dir` rotation writes), so a
 ///   server can hot-follow a live training run.

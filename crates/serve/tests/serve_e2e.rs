@@ -16,6 +16,7 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use apots::checkpoint::Checkpoint;
 use apots::config::{HyperPreset, PredictorKind};
@@ -67,10 +68,15 @@ impl Client {
     /// Issues `GET path` and returns `(status, body)`.
     fn get(&mut self, path: &str) -> (u16, String) {
         write!(self.stream, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").expect("write");
-        self.buf.clear();
+        self.read_response()
+    }
+
+    /// Reads the next response, keeping any bytes of a later one.
+    fn read_response(&mut self) -> (u16, String) {
         let mut chunk = [0u8; 1024];
         loop {
-            if let Some((status, body)) = parse_response(&self.buf) {
+            if let Some((status, body, len)) = parse_response(&self.buf) {
+                self.buf.drain(..len);
                 return (status, body);
             }
             let n = self.stream.read(&mut chunk).expect("read");
@@ -80,8 +86,9 @@ impl Client {
     }
 }
 
-/// Parses a complete `Content-Length`-framed response, if fully buffered.
-fn parse_response(buf: &[u8]) -> Option<(u16, String)> {
+/// Parses a complete `Content-Length`-framed response, if fully buffered;
+/// returns its status, body and total length.
+fn parse_response(buf: &[u8]) -> Option<(u16, String, usize)> {
     let head_end = buf.windows(4).position(|w| w == b"\r\n\r\n")? + 4;
     let head = std::str::from_utf8(&buf[..head_end]).ok()?;
     let status: u16 = head.split(' ').nth(1)?.parse().ok()?;
@@ -95,7 +102,7 @@ fn parse_response(buf: &[u8]) -> Option<(u16, String)> {
         return None;
     }
     let body = String::from_utf8(buf[head_end..head_end + len].to_vec()).ok()?;
-    Some((status, body))
+    Some((status, body, head_end + len))
 }
 
 /// The seeded storm: every (road, τ) drawn from the valid range with a
@@ -218,6 +225,30 @@ fn serves_predictions_healthz_metrics_and_rejects_bad_queries() {
     }
     let (status, _) = c.get("/nope");
     assert_eq!(status, 404);
+
+    server.shutdown();
+}
+
+/// HTTP/1.1 pipelining: when two requests reach the server in one `read`,
+/// both are answered, in order, on the same connection.
+#[test]
+fn pipelined_requests_in_one_write_are_all_answered() {
+    let _g = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let data = dataset();
+    let server = start_server(&data, checkpoint(&data, PredictorKind::Fc, 42), None);
+    let mut c = Client::connect(server.addr());
+    c.stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+
+    let one = "GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n";
+    c.stream
+        .write_all(format!("{one}{one}").as_bytes())
+        .expect("write");
+    for i in 0..2 {
+        let (status, body) = c.read_response();
+        assert_eq!(status, 200, "response {i}: {body}");
+    }
 
     server.shutdown();
 }

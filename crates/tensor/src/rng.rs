@@ -13,8 +13,9 @@
 //! * [`shuffled_indices`] — Fisher–Yates permutations for epoch shuffling.
 //!
 //! Every stochastic component of the reproduction (weight init, simulator
-//! noise, dataset shuffling, dropout) goes through a caller-supplied RNG
-//! created by [`seeded`], so experiments are reproducible end-to-end.
+//! noise, dataset shuffling, black-box attacks) goes through a
+//! caller-supplied RNG created by [`seeded`], so experiments are
+//! reproducible end-to-end.
 //!
 //! **Determinism contract:** streams are stable for a given seed *and*
 //! crate version, but they are **not** the streams the old `rand`-based

@@ -1,6 +1,7 @@
 use crate::rng::{normal, Rng};
 use crate::storage::{F32Storage, Storage};
 use crate::workspace;
+use apots_obs::metrics::{Counter, KERNEL_MATMUL, KERNEL_MATMUL_FLAT};
 
 /// Minimum multiply–accumulate count before a matmul is worth handing to
 /// the `apots-par` pool: below this, dispatch overhead (task vector +
@@ -331,14 +332,6 @@ impl Tensor {
         &self.data[i * c..(i + 1) * c]
     }
 
-    /// Mutable view of row `i` of a rank-2 tensor.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
-        debug_assert_eq!(self.rank(), 2);
-        let c = self.shape[1];
-        &mut self.data[i * c..(i + 1) * c]
-    }
-
     /// Returns a tensor with the same data but a different shape.
     ///
     /// # Panics
@@ -405,14 +398,6 @@ impl Tensor {
         }
     }
 
-    /// In-place element-wise difference.
-    pub fn sub_assign_t(&mut self, other: &Self) {
-        self.assert_same_shape(other, "sub_assign_t");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a -= b;
-        }
-    }
-
     /// In-place `self += alpha * other`, the axpy kernel used by optimizers.
     pub fn axpy(&mut self, alpha: f32, other: &Self) {
         self.assert_same_shape(other, "axpy");
@@ -431,11 +416,6 @@ impl Tensor {
         for v in &mut self.data {
             *v *= alpha;
         }
-    }
-
-    /// Adds `alpha` to every element, producing a new tensor.
-    pub fn add_scalar(&self, alpha: f32) -> Self {
-        self.map(|v| v + alpha)
     }
 
     /// Applies `f` to every element, producing a new tensor.
@@ -552,17 +532,6 @@ impl Tensor {
             shape: self.shape,
             data: out.into(),
         }
-    }
-
-    /// Applies `f` to every element in place, in parallel. Bit-identical
-    /// to [`Self::map_in_place`] for pure `f`.
-    pub fn par_map_in_place<F: Fn(f32) -> f32 + Sync>(&mut self, f: F) {
-        apots_obs::metrics::KERNEL_MAP.bump();
-        apots_par::parallel_chunks_mut(&mut self.data, Self::ELEMWISE_GRAIN, |_ci, chunk| {
-            for v in chunk {
-                *v = f(*v);
-            }
-        });
     }
 
     /// Combines two same-shaped tensors element-wise with `f`, in parallel.
@@ -685,12 +654,12 @@ impl Tensor {
     /// produce NaN), masking the non-finite values the training runtime's
     /// divergence sentinel exists to detect.
     pub fn matmul(&self, other: &Self) -> Self {
-        let (m, _k, n) = self.matmul_dims(other);
+        let (m, k, n) = self.matmul_dims(other);
         let mut out = Self {
             shape: Shape::of(&[m, n]),
             data: workspace::checkout(m * n).into(),
         };
-        self.matmul_dispatch(other, &mut out.data);
+        self.matmul_dispatch(other, &mut out.data, (m, k, n), &KERNEL_MATMUL);
         out
     }
 
@@ -699,11 +668,11 @@ impl Tensor {
     /// [`Self::matmul`]: both run the same row-partitioned block kernels
     /// over a zeroed buffer. `out` must not alias either operand.
     pub fn matmul_into(&self, other: &Self, out: &mut Self) {
-        let (m, _k, n) = self.matmul_dims(other);
+        let (m, k, n) = self.matmul_dims(other);
         assert_eq!(out.data.len(), m * n, "matmul_into: bad output length");
         out.shape = Shape::of(&[m, n]);
         out.data.fill(0.0);
-        self.matmul_dispatch(other, &mut out.data);
+        self.matmul_dispatch(other, &mut out.data, (m, k, n), &KERNEL_MATMUL);
     }
 
     /// `self` flattened over its leading axes (`[..., k] → [rows, k]`)
@@ -711,7 +680,7 @@ impl Tensor {
     /// takes shape `[rows, n]`). The flattening is purely an indexing view
     /// of the same contiguous row-major data, so every output element runs
     /// the identical ascending-`kk` chain of a rank-2 [`Self::matmul_into`]
-    /// on the reshaped input. The RNN layers use this to project **all**
+    /// on the reshaped input. The LSTM uses this to project **all**
     /// timesteps' inputs in a single dispatch (`[B·T, I] · [I, 4H]`)
     /// instead of `T` tiny per-step matmuls — bit-identical, one kernel
     /// launch, and wide enough to parallelize. `out` must not alias either
@@ -734,18 +703,7 @@ impl Tensor {
         );
         out.shape = Shape::of(&[rows, n]);
         out.data.fill(0.0);
-        if n == 0 {
-            return;
-        }
-        apots_obs::metrics::KERNEL_MATMUL_FLAT.bump();
-        let chunk_rows = matmul_chunk_rows(rows, k, n);
-        let a = &self.data;
-        let b = &other.data;
-        apots_par::parallel_chunks_mut(&mut out.data, chunk_rows * n, |ci, out_chunk| {
-            let i0 = ci * chunk_rows;
-            let r = out_chunk.len() / n;
-            crate::kernels::matmul_block(&a[i0 * k..(i0 + r) * k], b, out_chunk, k, n);
-        });
+        self.matmul_dispatch(other, &mut out.data, (rows, k, n), &KERNEL_MATMUL_FLAT);
     }
 
     #[inline]
@@ -758,14 +716,20 @@ impl Tensor {
         (m, k, n)
     }
 
-    /// Shared body of `matmul`/`matmul_into`: requires `out` zeroed.
-    fn matmul_dispatch(&self, other: &Self, out: &mut [f32]) {
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let n = other.shape[1];
+    /// Shared body of `matmul`/`matmul_into`/`matmul_flat_into`: `self`
+    /// viewed as `[m, k]` times `other: [k, n]`, bumping `counter`.
+    /// Requires `out` zeroed.
+    fn matmul_dispatch(
+        &self,
+        other: &Self,
+        out: &mut [f32],
+        (m, k, n): (usize, usize, usize),
+        counter: &Counter,
+    ) {
         if n == 0 {
             return;
         }
-        apots_obs::metrics::KERNEL_MATMUL.bump();
+        counter.bump();
         let chunk_rows = matmul_chunk_rows(m, k, n);
         let a = &self.data;
         let b = &other.data;
@@ -958,23 +922,6 @@ impl Tensor {
         }
     }
 
-    /// Extracts rows `[start, start + count)` of a rank-2 tensor.
-    pub fn slice_rows(&self, start: usize, count: usize) -> Self {
-        assert_eq!(self.rank(), 2, "slice_rows requires rank-2");
-        let (r, c) = (self.shape[0], self.shape[1]);
-        assert!(
-            start + count <= r,
-            "slice_rows [{start}, {}) out of bounds for {r} rows",
-            start + count
-        );
-        let mut data = workspace::checkout_empty(count * c);
-        data.extend_from_slice(&self.data[start * c..(start + count) * c]);
-        Self {
-            shape: Shape::of(&[count, c]),
-            data: data.into(),
-        }
-    }
-
     /// Gathers timestep `t` of a rank-3 `[batch, steps, feat]` tensor into
     /// `out` (`[batch, feat]`, which must already hold `batch·feat`
     /// elements). The strided gather used by the RNN layers; bit-identical
@@ -1048,7 +995,6 @@ mod tests {
         assert_eq!(b.sub(&a).data(), &[4.0, 4.0, 4.0, 4.0]);
         assert_eq!(a.mul(&b).data(), &[5.0, 12.0, 21.0, 32.0]);
         assert_eq!(a.scale(2.0).data(), &[2.0, 4.0, 6.0, 8.0]);
-        assert_eq!(a.add_scalar(1.0).data(), &[2.0, 3.0, 4.0, 5.0]);
     }
 
     #[test]
@@ -1057,12 +1003,10 @@ mod tests {
         let b = t2(&[&[10.0, 20.0]]);
         a.add_assign_t(&b);
         assert_eq!(a.data(), &[11.0, 22.0]);
-        a.sub_assign_t(&b);
-        assert_eq!(a.data(), &[1.0, 2.0]);
         a.axpy(0.5, &b);
-        assert_eq!(a.data(), &[6.0, 12.0]);
+        assert_eq!(a.data(), &[16.0, 32.0]);
         a.scale_in_place(2.0);
-        assert_eq!(a.data(), &[12.0, 24.0]);
+        assert_eq!(a.data(), &[32.0, 64.0]);
         a.fill_zero();
         assert_eq!(a.data(), &[0.0, 0.0]);
     }
@@ -1206,11 +1150,6 @@ mod tests {
             a.par_zip_with(&b, |x, y| x * y),
             a.zip_with(&b, |x, y| x * y)
         );
-        let mut c = a.clone();
-        let mut d = a.clone();
-        c.par_map_in_place(|v| v.max(0.0));
-        d.map_in_place(|v| v.max(0.0));
-        assert_eq!(c, d);
     }
 
     #[test]
@@ -1237,7 +1176,6 @@ mod tests {
         assert_eq!(c.shape(), &[2, 3]);
         assert_eq!(c.data(), &[1.0, 3.0, 4.0, 2.0, 5.0, 6.0]);
         assert_eq!(c.slice_cols(1, 2), b);
-        assert_eq!(c.slice_rows(1, 1).data(), &[2.0, 5.0, 6.0]);
     }
 
     #[test]

@@ -42,6 +42,7 @@ pub mod features;
 pub mod incidents;
 pub mod network;
 pub mod outage;
+mod rush;
 pub mod scenario_dsl;
 pub mod scenarios;
 pub mod sim;

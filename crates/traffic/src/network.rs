@@ -27,7 +27,8 @@ use apots_tensor::rng::{seeded, Rng};
 
 use crate::calendar::Calendar;
 use crate::incidents::{Incident, IncidentLog};
-use crate::sim::{Corridor, SimConfig};
+use crate::rush::rush_congestion;
+use crate::sim::{greenshields_volumes, Corridor, SimConfig};
 use crate::weather::{Weather, WeatherConfig};
 use crate::INTERVALS_PER_DAY;
 
@@ -45,12 +46,6 @@ pub struct NetworkConfig {
     pub extra_links: f64,
     /// Nominal free-flow speed in km/h (per-segment variation applied).
     pub free_flow: f32,
-    /// Morning commute peak congestion amplitude.
-    pub morning_peak_amp: f32,
-    /// Evening commute peak congestion amplitude.
-    pub evening_peak_amp: f32,
-    /// Weekend/holiday midday congestion amplitude.
-    pub weekend_amp: f32,
     /// Fraction of the gap to the target congestion closed per step.
     pub relax: f32,
     /// Decay applied to a downstream neighbour's congestion when it
@@ -76,9 +71,6 @@ impl Default for NetworkConfig {
             corridor_len: 16,
             extra_links: 1.5,
             free_flow: 98.0,
-            morning_peak_amp: 0.55,
-            evening_peak_amp: 0.60,
-            weekend_amp: 0.28,
             relax: 0.35,
             shockwave_decay: 0.55,
             shockwave_lag: 2,
@@ -369,21 +361,7 @@ impl RoadNetwork {
                 // super-peak multiplier.
                 let pos = (s % len) as f32;
                 let shift = (half - pos) * 1.5;
-                let mut c_rush = 0.0f32;
-                if dt.weekday {
-                    c_rush += amp * config.morning_peak_amp * gaussian_bump(tau, 93.0 + shift, 9.0);
-                    let evening_amp = if dt.day_before_holiday {
-                        config.evening_peak_amp * 1.3
-                    } else {
-                        config.evening_peak_amp
-                    };
-                    c_rush += amp * evening_amp * gaussian_bump(tau, 222.0 + shift, 12.0);
-                } else {
-                    c_rush += amp * config.weekend_amp * gaussian_bump(tau, 170.0 + shift, 30.0);
-                    if dt.day_after_holiday {
-                        c_rush += amp * 0.35 * gaussian_bump(tau, 228.0 + shift, 18.0);
-                    }
-                }
+                let c_rush = rush_congestion(dt, tau, shift, amp);
 
                 let c_inc = incidents.severity(s, t).min(0.9);
                 let driven = 1.0 - (1.0 - c_rush.min(0.9)) * (1.0 - c_rain) * (1.0 - c_inc);
@@ -423,20 +401,7 @@ impl RoadNetwork {
             }
         }
 
-        // Volumes via the Greenshields fundamental diagram, from an
-        // independent stream so a segment's series only depends on its
-        // own speeds (identical across any corridor view containing it).
-        let k_jam = 120.0f32;
-        let mut volumes = vec![vec![0.0f32; n]; n_seg];
-        let mut vol_rng = seeded(config.seed ^ 0x0F10_77AA);
-        for s in 0..n_seg {
-            let vf = topology.free_flow[s];
-            for t in 0..n {
-                let v = speeds[s][t];
-                let q = k_jam * v * (1.0 - (v / vf).min(1.0));
-                volumes[s][t] = (q + apots_tensor::rng::normal(&mut vol_rng, 0.0, 25.0)).max(0.0);
-            }
-        }
+        let volumes = greenshields_volumes(&speeds, &topology.free_flow, config.seed);
 
         Self {
             config,
@@ -544,9 +509,6 @@ impl RoadNetwork {
         let sim_config = SimConfig {
             m,
             free_flow: self.config.free_flow,
-            morning_peak_amp: self.config.morning_peak_amp,
-            evening_peak_amp: self.config.evening_peak_amp,
-            weekend_amp: self.config.weekend_amp,
             propagation_decay: self.config.shockwave_decay,
             propagation_lag: self.config.shockwave_lag,
             noise_std: self.config.noise_std,
@@ -584,12 +546,6 @@ impl RoadNetwork {
         }
         h
     }
-}
-
-/// Unnormalised Gaussian bump `exp(−(x−mu)²/(2σ²))`.
-fn gaussian_bump(x: f32, mu: f32, sigma: f32) -> f32 {
-    let z = (x - mu) / sigma;
-    (-0.5 * z * z).exp()
 }
 
 #[cfg(test)]

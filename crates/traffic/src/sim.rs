@@ -21,6 +21,7 @@ use apots_tensor::rng::Rng;
 
 use crate::calendar::Calendar;
 use crate::incidents::{IncidentConfig, IncidentLog};
+use crate::rush::rush_congestion;
 use crate::weather::{Weather, WeatherConfig};
 use crate::INTERVALS_PER_DAY;
 
@@ -36,12 +37,6 @@ pub struct SimConfig {
     pub incidents: IncidentConfig,
     /// Nominal free-flow speed in km/h (per-road variation is applied).
     pub free_flow: f32,
-    /// Morning commute peak congestion amplitude.
-    pub morning_peak_amp: f32,
-    /// Evening commute peak congestion amplitude.
-    pub evening_peak_amp: f32,
-    /// Weekend/holiday midday congestion amplitude.
-    pub weekend_amp: f32,
     /// Congestion level beyond which flow breakdown may trigger.
     pub breakdown_threshold: f32,
     /// Extra congestion added while a road is in breakdown.
@@ -69,9 +64,6 @@ impl Default for SimConfig {
             weather: WeatherConfig::default(),
             incidents: IncidentConfig::default(),
             free_flow: 98.0,
-            morning_peak_amp: 0.55,
-            evening_peak_amp: 0.60,
-            weekend_amp: 0.28,
             breakdown_threshold: 0.45,
             breakdown_extra: 0.22,
             propagation_decay: 0.55,
@@ -149,27 +141,7 @@ impl Corridor {
                 // Commute peaks, phase-shifted so downstream roads peak
                 // earlier and congestion appears to travel upstream.
                 let shift = (center - road as f32) * 1.5;
-                let commuting = dt.weekday;
-                let mut c_rush = 0.0f32;
-                if commuting {
-                    let morning = gaussian_bump(tau, 93.0 + shift, 9.0); // ~07:45
-                    let evening = gaussian_bump(tau, 222.0 + shift, 12.0); // ~18:30
-                    c_rush += config.morning_peak_amp * morning;
-                    let evening_amp = if dt.day_before_holiday {
-                        config.evening_peak_amp * 1.3
-                    } else {
-                        config.evening_peak_amp
-                    };
-                    c_rush += evening_amp * evening;
-                } else {
-                    // Weekend / holiday leisure traffic: broad midday bump.
-                    let midday = gaussian_bump(tau, 170.0 + shift, 30.0); // ~14:10
-                    c_rush += config.weekend_amp * midday;
-                    if dt.day_after_holiday {
-                        // Return traffic in the evening.
-                        c_rush += 0.35 * gaussian_bump(tau, 228.0 + shift, 18.0);
-                    }
-                }
+                let c_rush = rush_congestion(dt, tau, shift, 1.0);
 
                 // Incident congestion: own plus propagated from downstream
                 // segments (queues grow backwards into upstream roads).
@@ -223,23 +195,7 @@ impl Corridor {
             }
         }
 
-        // Traffic volume via the Greenshields fundamental diagram:
-        // q = k_jam · v · (1 − v/v_f), i.e. flow peaks at half the
-        // free-flow speed and vanishes at jam density and at free flow.
-        // This stands in for the "traffic amount" data of the paper's
-        // future-work list (§VI) without a separate demand model.
-        let k_jam = 120.0f32; // veh/km, typical jam density per lane-group
-        let mut volumes = vec![vec![0.0f32; n]; n_roads];
-        let mut vol_rng = apots_tensor::rng::seeded(config.seed ^ 0x0F10_77AA);
-        for road in 0..n_roads {
-            let vf = free_flow[road];
-            for t in 0..n {
-                let v = speeds[road][t];
-                let q = k_jam * v * (1.0 - (v / vf).min(1.0));
-                volumes[road][t] =
-                    (q + apots_tensor::rng::normal(&mut vol_rng, 0.0, 25.0)).max(0.0);
-            }
-        }
+        let volumes = greenshields_volumes(&speeds, &free_flow, config.seed);
 
         Self {
             config,
@@ -349,10 +305,28 @@ impl Corridor {
     }
 }
 
-/// Unnormalised Gaussian bump `exp(−(x−mu)²/(2σ²))`.
-fn gaussian_bump(x: f32, mu: f32, sigma: f32) -> f32 {
-    let z = (x - mu) / sigma;
-    (-0.5 * z * z).exp()
+/// Traffic volume via the Greenshields fundamental diagram:
+/// q = k_jam · v · (1 − v/v_f), i.e. flow peaks at half the free-flow
+/// speed and vanishes at jam density and at free flow. This stands in for
+/// the "traffic amount" data of the paper's future-work list (§VI) without
+/// a separate demand model. The noise comes from its own stream, drawn
+/// road-major, so volumes never perturb the speed simulation.
+pub(crate) fn greenshields_volumes(
+    speeds: &[Vec<f32>],
+    free_flow: &[f32],
+    seed: u64,
+) -> Vec<Vec<f32>> {
+    let k_jam = 120.0f32; // veh/km, typical jam density per lane-group
+    let mut rng = apots_tensor::rng::seeded(seed ^ 0x0F10_77AA);
+    let mut volume = |v: f32, vf: f32| {
+        let q = k_jam * v * (1.0 - (v / vf).min(1.0));
+        (q + apots_tensor::rng::normal(&mut rng, 0.0, 25.0)).max(0.0)
+    };
+    speeds
+        .iter()
+        .zip(free_flow)
+        .map(|(row, &vf)| row.iter().map(|&v| volume(v, vf)).collect())
+        .collect()
 }
 
 #[cfg(test)]

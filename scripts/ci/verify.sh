@@ -22,7 +22,7 @@
 set -uo pipefail
 cd "$(dirname "$0")/../.."
 
-STAGES=(build test-serial test-parallel determinism robustness faults memory serve scenario bench-smoke bench-gate lint hermeticity)
+STAGES=(build test-serial test-parallel determinism robustness faults memory serve scenario perfbench bench-smoke bench-gate lint hermeticity)
 
 usage() {
   echo "usage: scripts/ci/verify.sh [--stage NAME]... [--list-stages]"
